@@ -81,7 +81,9 @@ func benchWorld(b *testing.B) *testbed.Hierarchy {
 
 // BenchmarkCVE202350868ProofCost measures the resolver-side denial
 // validation (closest-encloser search + covering checks) as the zone's
-// iteration count grows — the attack surface of CVE-2023-50868.
+// iteration count grows — the attack surface of CVE-2023-50868. It runs
+// on nsec3.ResponseSet, which has no memo: every iteration pays every
+// hash, as a validating resolver does.
 func BenchmarkCVE202350868ProofCost(b *testing.B) {
 	h := benchWorld(b)
 	ctx := context.Background()
@@ -245,7 +247,10 @@ func BenchmarkSurveyShardedEndToEnd(b *testing.B) {
 // Results are identical in every cell (TestResolverStudyShardEquivalence);
 // what varies is the memory envelope — each shard deploys only its
 // cursor's slice of the fleet, and the sign cache keeps the testbed's
-// 52 zones signed once across shard worlds.
+// 52 zones signed once across shard worlds. The dnssec verification
+// memo is process-wide: a cell or iteration that follows another starts
+// with it warm, so cold-start figures run one cell per process
+// (-bench='BenchmarkResolverStudySharded/shards-1$' -benchtime=1x).
 func BenchmarkResolverStudySharded(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
@@ -331,6 +336,12 @@ func BenchmarkTable2OperatorAttribution(b *testing.B) {
 // ---------------------------------------------------------------------
 // Figure 3: a complete 50-subdomain probe of one validating resolver.
 
+// BenchmarkFig3ResolverProbe times one probe end to end. After the
+// first iteration it includes the process-wide memos: the resolver's
+// RRSIG checks hit the dnssec verification memo and each zone's
+// NXDOMAIN proofs hit its chain's closest-encloser memo, as they do for
+// every resolver after the first in a study. dnssec's
+// BenchmarkDNSSECVerify/cold prices the verification the memo saves.
 func BenchmarkFig3ResolverProbe(b *testing.B) {
 	h := benchWorld(b)
 	res := resolver.New(resolver.Config{
@@ -379,7 +390,10 @@ func benchChain(b *testing.B, iters uint16) (*nsec3.Chain, map[dnswire.Name]dnsw
 // BenchmarkAblationHashMemo compares serving proofs from a prebuilt
 // (hash-memoized) chain against rebuilding the chain per query — the
 // design choice that makes the authoritative side O(1) hashes per
-// negative answer.
+// negative answer. memoized-chain also includes the chain's
+// closest-encloser memo: its fixed qname repeats the encloser, so each
+// proof hashes only the next-closer name. rebuild-per-query starts
+// every proof from a fresh chain with an empty memo.
 func BenchmarkAblationHashMemo(b *testing.B) {
 	qname := dnswire.MustParseName("nope.bench.example")
 	b.Run("memoized-chain", func(b *testing.B) {

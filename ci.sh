@@ -33,6 +33,12 @@ grep -q 'allocs/op' authserver-qps.bench.txt || {
   echo "authserver QPS bench produced no -benchmem output"; exit 1;
 }
 
+echo "== bench smoke (resolver study shards 1/4, -benchmem, 1 iteration) =="
+# One pass of the §4.2 study at ScaleDen 1000 per shard count; its world
+# answers more queries than the testbed's QueryLog holds, so a return of
+# per-query log or proof costs shows up as a slow leg.
+go test -run='^$' -bench='^BenchmarkResolverStudySharded$' -benchtime=1x -benchmem .
+
 echo "== metrics smoke (authd -metrics, /healthz + /metrics) =="
 SMOKE_DIR=$(mktemp -d)
 go build -o "$SMOKE_DIR/authd" ./cmd/authd
@@ -152,6 +158,8 @@ REPRO_PID=""
 grep -q '^resolverstudy_probed_open_ipv4_total ' "$FSNAP"
 grep -q '^resolverstudy_probed_open_ipv6_total ' "$FSNAP"
 grep -q '^resolverstudy_shards_completed_total ' "$FSNAP"
+grep -q '^dnssec_verify_memo_hits_total ' "$FSNAP"
+grep -q '^nsec3_encloser_memo_misses_total ' "$FSNAP"
 grep -q 'Open, IPv4' "$SMOKE_DIR/fig3.log"
 grep -q 'Open, IPv6' "$SMOKE_DIR/fig3.log"
 grep -q 'Closed, IPv4' "$SMOKE_DIR/fig3.log"

@@ -125,6 +125,7 @@ func run() error {
 	var handler netsim.Handler = srv
 	if *metrics != "" {
 		reg := obs.NewRegistry()
+		nsec3.InstrumentMemo(reg)
 		reg.Gauge("authd_zones", "signed zones currently served").Set(float64(len(srv.Zones())))
 		queries := reg.Counter("authd_queries_total", "DNS queries handled over UDP and TCP")
 		inner := handler

@@ -29,6 +29,8 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/compliance"
 	"repro/internal/core"
+	"repro/internal/dnssec"
+	"repro/internal/nsec3"
 	"repro/internal/obs"
 	"repro/internal/population"
 	"repro/internal/respop"
@@ -91,6 +93,8 @@ func run() error {
 	var reg *obs.Registry
 	if *metrics != "" {
 		reg = obs.NewRegistry()
+		dnssec.InstrumentMemo(reg)
+		nsec3.InstrumentMemo(reg)
 		bound, stop, err := obs.Serve(*metrics, reg)
 		if err != nil {
 			return err

@@ -22,6 +22,7 @@ import (
 	"strings"
 	"syscall"
 
+	"repro/internal/dnssec"
 	"repro/internal/dnswire"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -82,6 +83,7 @@ func run() error {
 	var handler netsim.Handler
 	if *metrics != "" {
 		reg := obs.NewRegistry()
+		dnssec.InstrumentMemo(reg)
 		cfg.Obs = reg
 		queries := reg.Counter("resolved_queries_total", "client queries handled over UDP and TCP")
 		res := resolver.New(cfg)

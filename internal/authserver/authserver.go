@@ -270,11 +270,17 @@ func (s *Server) handleAXFR(resp *dnswire.Message, sz *zone.Signed, qname dnswir
 }
 
 // QueryLog is a bounded, concurrency-safe log of query sources — the
-// simulated equivalent of the paper's server-side logging.
+// simulated equivalent of the paper's server-side logging. Once full
+// it is a ring buffer: each Record overwrites the oldest entry in O(1),
+// so a log kept on through a population-scale study costs the same per
+// query as an empty one.
 type QueryLog struct {
 	mu      sync.Mutex
 	max     int
 	entries []LogEntry
+	// oldest indexes the oldest entry once the ring is full (the slot
+	// the next Record overwrites); it stays 0 while the log grows.
+	oldest int
 }
 
 // LogEntry is one observed query.
@@ -283,43 +289,57 @@ type LogEntry struct {
 	QName dnswire.Name
 }
 
-// NewQueryLog creates a log keeping at most max entries (oldest dropped).
+// NewQueryLog creates a log keeping at most max entries (oldest
+// dropped); max <= 0 keeps every entry.
 func NewQueryLog(max int) *QueryLog {
 	return &QueryLog{max: max}
 }
 
-// Record appends an entry.
+// Record appends an entry, overwriting the oldest when the log is full.
 func (l *QueryLog) Record(from netip.AddrPort, qname dnswire.Name) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.entries) >= l.max && l.max > 0 {
-		copy(l.entries, l.entries[1:])
-		l.entries = l.entries[:len(l.entries)-1]
+	e := LogEntry{From: from, QName: qname}
+	if l.max <= 0 || len(l.entries) < l.max {
+		l.entries = append(l.entries, e)
+		return
 	}
-	l.entries = append(l.entries, LogEntry{From: from, QName: qname})
+	l.entries[l.oldest] = e
+	l.oldest = (l.oldest + 1) % l.max
 }
 
-// Entries returns a snapshot of the log.
+// ordered returns the retained entries oldest first, as the two runs
+// of the ring. Callers hold l.mu.
+func (l *QueryLog) ordered() (older, newer []LogEntry) {
+	return l.entries[l.oldest:], l.entries[:l.oldest]
+}
+
+// Entries returns a snapshot of the log, oldest entry first.
 func (l *QueryLog) Entries() []LogEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]LogEntry, len(l.entries))
-	copy(out, l.entries)
-	return out
+	older, newer := l.ordered()
+	out := make([]LogEntry, 0, len(l.entries))
+	out = append(out, older...)
+	return append(out, newer...)
 }
 
 // SourcesFor returns the distinct source addresses that queried names
 // containing the given label — how the paper maps a per-resolver unique
 // subdomain back to the addresses that actually hit the name server.
+// Only retained entries are searched, oldest first.
 func (l *QueryLog) SourcesFor(match func(dnswire.Name) bool) []netip.AddrPort {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	seen := make(map[netip.AddrPort]bool)
 	var out []netip.AddrPort
-	for _, e := range l.entries {
-		if match(e.QName) && !seen[e.From] {
-			seen[e.From] = true
-			out = append(out, e.From)
+	older, newer := l.ordered()
+	for _, run := range [2][]LogEntry{older, newer} {
+		for _, e := range run {
+			if match(e.QName) && !seen[e.From] {
+				seen[e.From] = true
+				out = append(out, e.From)
+			}
 		}
 	}
 	return out

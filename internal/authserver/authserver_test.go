@@ -2,7 +2,10 @@ package authserver
 
 import (
 	"context"
+	"fmt"
 	"net/netip"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/dnswire"
@@ -192,5 +195,68 @@ func TestQueryLog(t *testing.T) {
 	srcs := s.Log.SourcesFor(func(n dnswire.Name) bool { return n == "www.example.com." })
 	if len(srcs) != 3 {
 		t.Fatalf("SourcesFor = %v", srcs)
+	}
+}
+
+// TestQueryLogRing fills a 3-entry log with 7 records: the ring keeps
+// the last 3 oldest first, and SourcesFor searches only what it kept.
+func TestQueryLogRing(t *testing.T) {
+	l := NewQueryLog(3)
+	src := func(i int) netip.AddrPort {
+		return netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, 0, byte(i)}), 53)
+	}
+	name := func(i int) dnswire.Name { return dnswire.MustParseName(fmt.Sprintf("q%d.example", i)) }
+	for i := 0; i < 7; i++ {
+		l.Record(src(i), name(i))
+	}
+	entries := l.Entries()
+	if len(entries) != 3 {
+		t.Fatalf("log kept %d entries, want 3", len(entries))
+	}
+	for k, e := range entries {
+		if want := 4 + k; e.From != src(want) || e.QName != name(want) {
+			t.Fatalf("entry %d = %v, want record %d", k, e, want)
+		}
+	}
+	all := l.SourcesFor(func(dnswire.Name) bool { return true })
+	if want := []netip.AddrPort{src(4), src(5), src(6)}; !reflect.DeepEqual(all, want) {
+		t.Fatalf("SourcesFor(all) = %v, want %v (oldest first)", all, want)
+	}
+	for _, evicted := range []int{0, 3} {
+		if got := l.SourcesFor(func(n dnswire.Name) bool { return n == name(evicted) }); len(got) != 0 {
+			t.Fatalf("SourcesFor sees evicted record %d: %v", evicted, got)
+		}
+	}
+}
+
+// TestQueryLogConcurrentRecord hammers one small ring from several
+// goroutines (run under -race): the bound holds and every retained
+// entry is one that was recorded.
+func TestQueryLogConcurrentRecord(t *testing.T) {
+	const workers, per, max = 8, 500, 64
+	l := NewQueryLog(max)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			from := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, 1, byte(w)}), 53)
+			for i := 0; i < per; i++ {
+				l.Record(from, "concurrent.example.")
+				if i%50 == 0 {
+					_ = l.Entries()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	entries := l.Entries()
+	if len(entries) != max {
+		t.Fatalf("log holds %d entries, want %d", len(entries), max)
+	}
+	for _, e := range entries {
+		if e.QName != "concurrent.example." || e.From.Addr().As4()[2] != 1 {
+			t.Fatalf("unexpected entry %v", e)
+		}
 	}
 }

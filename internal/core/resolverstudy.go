@@ -247,6 +247,7 @@ func (run *ResolverShardRunner) Execute(ctx context.Context, job ResolverShardJo
 			unique := fmt.Sprintf("open-%d", inst.Index)
 			tr, err := testbed.ProbeResolver(ctx, h.Net, inst.Addr, unique)
 			slots[i] = probeSlot{tr: tr, err: err}
+			release(h, inst)
 		}(i, inst)
 	}
 	wg.Wait()
@@ -264,6 +265,9 @@ func (run *ResolverShardRunner) Execute(ctx context.Context, job ResolverShardJo
 		}
 	}
 	measured := platform.Measure(ctx, probes, "closed")
+	for _, inst := range closed {
+		release(h, inst)
+	}
 	probeSpan.End()
 
 	mergeSpan := run.trace.Start("merge", job.Plan.Index)
@@ -307,6 +311,15 @@ func (run *ResolverShardRunner) Execute(ctx context.Context, job ResolverShardJo
 	run.mReused.Add(uint64(reused))
 	run.mShards.Inc()
 	return out, nil
+}
+
+// release takes a probed resolver off the shard's network and drops
+// the instance's reference to it. A probe is the resolver's whole
+// life, so its caches become garbage now rather than when the shard
+// ends: the shard's live heap stays at the resolvers still probing.
+func release(h *testbed.Hierarchy, inst *respop.Instance) {
+	h.Net.Unregister(inst.Addr)
+	inst.Resolver = nil
 }
 
 // ResolverStudyReport is the §5.2 output.

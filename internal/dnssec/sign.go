@@ -213,27 +213,63 @@ func CheckValidity(sig dnswire.RRSIG, now uint32) error {
 // responsible for temporal validity (CheckValidity) and for checking
 // that the key is a zone key whose tag and algorithm match the RRSIG —
 // VerifyWithRRSIG bundles all of it.
+//
+// The public-key operation goes through a process-wide memo keyed by
+// the content it depends on (memo.go), so every call still builds and
+// digests the canonical signed data, and a changed record, RRSIG field,
+// key or signature byte is a different key.
 func Verify(set RRset, sig dnswire.RRSIG, key dnswire.DNSKEY) error {
+	msg, digest, err := signedData(set, sig)
+	if err != nil {
+		return err
+	}
+	k := memoKey(&digest, key, sig.Signature)
+	if ok, err := verifyMemo.lookup(k); ok {
+		return err
+	}
+	err = verifySignature(msg, &digest, sig.Signature, key)
+	verifyMemo.store(k, err)
+	return err
+}
+
+// verifyUncached is Verify without the memo: the full cost of one
+// verification, for benchmarks that measure it.
+func verifyUncached(set RRset, sig dnswire.RRSIG, key dnswire.DNSKEY) error {
+	msg, digest, err := signedData(set, sig)
+	if err != nil {
+		return err
+	}
+	return verifySignature(msg, &digest, sig.Signature, key)
+}
+
+// signedData builds the data an RRSIG signs — its own RDATA up to the
+// signature, then the canonical RRset — and its SHA-256 digest.
+func signedData(set RRset, sig dnswire.RRSIG) ([]byte, [sha256.Size]byte, error) {
 	if sig.TypeCovered != set.Type() {
-		return fmt.Errorf("%w: covers %s, set is %s", ErrSigMismatch, sig.TypeCovered, set.Type())
+		return nil, [sha256.Size]byte{}, fmt.Errorf("%w: covers %s, set is %s", ErrSigMismatch, sig.TypeCovered, set.Type())
 	}
 	msg := sig.AppendSignedPart(nil)
 	msg, err := appendCanonicalRRset(msg, set, sig)
 	if err != nil {
-		return err
+		return nil, [sha256.Size]byte{}, err
 	}
-	digest := sha256.Sum256(msg)
+	return msg, sha256.Sum256(msg), nil
+}
+
+// verifySignature runs the public-key operation: signature over msg
+// (whose SHA-256 is digest) under key.
+func verifySignature(msg []byte, digest *[sha256.Size]byte, signature []byte, key dnswire.DNSKEY) error {
 	switch key.Algorithm {
 	case dnswire.AlgECDSAP256SHA256:
 		pub, err := ecdsaPublicFromWire(key.PublicKey)
 		if err != nil {
 			return err
 		}
-		if len(sig.Signature) != 64 {
-			return fmt.Errorf("%w: ECDSA signature length %d", ErrBadSignature, len(sig.Signature))
+		if len(signature) != 64 {
+			return fmt.Errorf("%w: ECDSA signature length %d", ErrBadSignature, len(signature))
 		}
-		r := new(big.Int).SetBytes(sig.Signature[:32])
-		s := new(big.Int).SetBytes(sig.Signature[32:])
+		r := new(big.Int).SetBytes(signature[:32])
+		s := new(big.Int).SetBytes(signature[32:])
 		if !ecdsa.Verify(pub, digest[:], r, s) {
 			return ErrBadSignature
 		}
@@ -241,7 +277,7 @@ func Verify(set RRset, sig dnswire.RRSIG, key dnswire.DNSKEY) error {
 		if len(key.PublicKey) != ed25519.PublicKeySize {
 			return fmt.Errorf("%w: Ed25519 key length %d", ErrBadPublicKey, len(key.PublicKey))
 		}
-		if !ed25519.Verify(ed25519.PublicKey(key.PublicKey), msg, sig.Signature) {
+		if !ed25519.Verify(ed25519.PublicKey(key.PublicKey), msg, signature) {
 			return ErrBadSignature
 		}
 	case dnswire.AlgRSASHA256:
@@ -249,7 +285,7 @@ func Verify(set RRset, sig dnswire.RRSIG, key dnswire.DNSKEY) error {
 		if err != nil {
 			return err
 		}
-		if err := rsa.VerifyPKCS1v15(pub, crypto.SHA256, digest[:], sig.Signature); err != nil {
+		if err := rsa.VerifyPKCS1v15(pub, crypto.SHA256, digest[:], signature); err != nil {
 			return ErrBadSignature
 		}
 	default:
@@ -261,7 +297,8 @@ func Verify(set RRset, sig dnswire.RRSIG, key dnswire.DNSKEY) error {
 // VerifyWithRRSIG performs the complete RFC 4035 §5.3 check of one
 // RRSIG against one candidate DNSKEY: structural match (tag, algorithm,
 // signer, zone-key flag, labels), temporal validity at now, and the
-// cryptographic signature.
+// cryptographic signature. The structural and temporal checks run on
+// every call; only the cryptographic one is memoized (Verify).
 func VerifyWithRRSIG(set RRset, sig dnswire.RRSIG, key dnswire.DNSKEY, signer dnswire.Name, now uint32) error {
 	if !key.IsZoneKey() {
 		return errors.New("dnssec: DNSKEY is not a zone key")

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/dnswire"
 )
@@ -190,11 +191,17 @@ type Record struct {
 }
 
 // Chain is a complete NSEC3 chain for one zone, sorted by owner hash.
-// It can answer match/cover queries and synthesize denial proofs.
+// It can answer match/cover queries and synthesize denial proofs. A
+// chain must not be modified once it serves proofs: ProveNXDOMAIN
+// memoizes what it derives from Zone, Params and Records.
 type Chain struct {
 	Zone    dnswire.Name
 	Params  Params
 	Records []Record // sorted ascending by OwnerHash
+
+	// lastEncloser memoizes the most recent closest encloser's proof
+	// records (proof.go).
+	lastEncloser atomic.Pointer[encloserProof]
 }
 
 // ErrEmptyChain is returned when proof synthesis is attempted on a

@@ -502,3 +502,25 @@ func TestChainSortedAfterBuild(t *testing.T) {
 		t.Fatal("records not sorted")
 	}
 }
+
+// TestEncloserMemoCounts checks the encloser memo's accounting: a
+// second proof under the same closest encloser is a hit, a proof under
+// another encloser a miss that replaces the entry.
+func TestEncloserMemoCounts(t *testing.T) {
+	c, names := buildTestChain(t, Params{Alg: dnswire.NSEC3HashSHA1, Iterations: 5}, false)
+	exists := existsFn(names)
+	prove := func(q string) {
+		t.Helper()
+		if _, err := c.ProveNXDOMAIN(dnswire.MustParseName(q), exists); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hits, misses := encloserHits.Load(), encloserMisses.Load()
+	prove("x.example.com")   // encloser example.com: miss
+	prove("y.example.com")   // same encloser: hit
+	prove("z.b.example.com") // encloser b.example.com: miss
+	prove("w.example.com")   // back to example.com: miss
+	if dh, dm := encloserHits.Load()-hits, encloserMisses.Load()-misses; dh != 1 || dm != 3 {
+		t.Fatalf("memo hits/misses = %d/%d, want 1/3", dh, dm)
+	}
+}

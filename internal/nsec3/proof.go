@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/dnswire"
+	"repro/internal/obs"
 )
 
 // This file implements the two sides of NSEC3 denial of existence:
@@ -78,19 +80,21 @@ func ClosestEncloser(qname, zone dnswire.Name, exists func(dnswire.Name) bool) (
 // ProveNXDOMAIN synthesizes the three-record closest-encloser proof for
 // a name that does not exist (RFC 5155 §7.2.2). exists must report
 // original names present in the zone (including empty non-terminals).
+//
+// The closest encloser's matching record and its wildcard's cover are
+// fixed by the chain, so they come from the chain's encloser memo;
+// only the next-closer name, unique to each query, is hashed per call.
 func (c *Chain) ProveNXDOMAIN(qname dnswire.Name, exists func(dnswire.Name) bool) (Proof, error) {
 	ce, nextCloser, err := ClosestEncloser(qname, c.Zone, exists)
 	if err != nil {
 		return Proof{}, err
 	}
-	var p Proof
-	if r, ok, err := c.Match(ce); err != nil {
+	e, err := c.encloser(ce)
+	if err != nil {
 		return Proof{}, err
-	} else if !ok {
-		return Proof{}, fmt.Errorf("nsec3: no NSEC3 matches closest encloser %s", ce)
-	} else {
-		p.ClosestEncloser = &r
 	}
+	match := e.match
+	p := Proof{ClosestEncloser: &match}
 	if r, ok, err := c.Cover(nextCloser); err != nil {
 		return Proof{}, err
 	} else if ok {
@@ -98,15 +102,63 @@ func (c *Chain) ProveNXDOMAIN(qname dnswire.Name, exists func(dnswire.Name) bool
 	} else {
 		return Proof{}, fmt.Errorf("nsec3: next closer %s unexpectedly matches", nextCloser)
 	}
-	if r, ok, err := c.Cover(ce.Wildcard()); err != nil {
-		return Proof{}, err
-	} else if ok {
-		p.Wildcard = &r
+	if e.wildcardCovered {
+		wildcard := e.wildcard
+		p.Wildcard = &wildcard
 	}
 	// If the wildcard matches instead of being covered, the server
 	// should have synthesized a wildcard answer, not an NXDOMAIN; the
 	// caller handles that branch.
 	return p, nil
+}
+
+// encloserProof is the part of an NXDOMAIN proof that depends only on
+// the closest encloser: the record matching it and the record covering
+// its wildcard (absent when *.ce exists and so matches).
+type encloserProof struct {
+	ce              dnswire.Name
+	match           Record
+	wildcard        Record
+	wildcardCovered bool
+}
+
+// Process-wide hit and miss counts of every chain's encloser memo.
+var encloserHits, encloserMisses atomic.Uint64
+
+// encloser returns the encloser proof for ce from the chain's
+// single-entry memo, computing and publishing it on a miss. Queries
+// for unique names under one zone share their closest encloser, so a
+// single entry holds; concurrent queries with different enclosers each
+// compute their own and the last store wins.
+func (c *Chain) encloser(ce dnswire.Name) (*encloserProof, error) {
+	if e := c.lastEncloser.Load(); e != nil && e.ce == ce {
+		encloserHits.Add(1)
+		return e, nil
+	}
+	encloserMisses.Add(1)
+	match, ok, err := c.Match(ce)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return nil, fmt.Errorf("nsec3: no NSEC3 matches closest encloser %s", ce)
+	}
+	e := &encloserProof{ce: ce, match: match}
+	if e.wildcard, e.wildcardCovered, err = c.Cover(ce.Wildcard()); err != nil {
+		return nil, err
+	}
+	c.lastEncloser.Store(e)
+	return e, nil
+}
+
+// InstrumentMemo exposes the encloser memo's process-wide hit and miss
+// counts on reg. They describe the memo only: the modeled hash work a
+// resolver spends is counted by the resolver.
+func InstrumentMemo(reg *obs.Registry) {
+	reg.CounterFunc("nsec3_encloser_memo_hits_total",
+		"NXDOMAIN proofs whose closest-encloser records came from the chain memo", encloserHits.Load)
+	reg.CounterFunc("nsec3_encloser_memo_misses_total",
+		"NXDOMAIN proofs that hashed the closest encloser and its wildcard", encloserMisses.Load)
 }
 
 // ProveNODATA synthesizes the NODATA proof: the NSEC3 matching qname

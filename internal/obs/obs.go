@@ -101,7 +101,12 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	help       map[string]string
+	// funcs are read-only counters backed by a process-wide source
+	// (CounterFunc). They render on /metrics but take no part in Merge
+	// or Snapshot: a per-shard or per-worker fold would count the same
+	// process state more than once.
+	funcs map[string]func() uint64
+	help  map[string]string
 }
 
 // NewRegistry creates an empty registry.
@@ -110,6 +115,7 @@ func NewRegistry() *Registry {
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
+		funcs:      make(map[string]func() uint64),
 		help:       make(map[string]string),
 	}
 }
@@ -139,7 +145,8 @@ func (r *Registry) Counter(name, help string) *Counter {
 	}
 	_, g := r.gauges[name]
 	_, h := r.histograms[name]
-	r.register(name, help, g || h)
+	_, f := r.funcs[name]
+	r.register(name, help, g || h || f)
 	c := &Counter{}
 	r.counters[name] = c
 	return c
@@ -158,7 +165,8 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	}
 	_, c := r.counters[name]
 	_, h := r.histograms[name]
-	r.register(name, help, c || h)
+	_, f := r.funcs[name]
+	r.register(name, help, c || h || f)
 	g := &Gauge{}
 	r.gauges[name] = g
 	return g
@@ -178,10 +186,32 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	}
 	_, c := r.counters[name]
 	_, g := r.gauges[name]
-	r.register(name, help, c || g)
+	_, f := r.funcs[name]
+	r.register(name, help, c || g || f)
 	h := newHistogram(buckets)
 	r.histograms[name] = h
 	return h
+}
+
+// CounterFunc registers a counter whose value is read from f at render
+// time — the form for process-wide counters a component keeps itself,
+// such as memo hit and miss counts. The first registration of a name
+// wins. Function counters render with the rest but are left out of
+// Merge and Snapshot. A nil registry ignores the call.
+func (r *Registry) CounterFunc(name, help string, f func() uint64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.funcs[name]; ok {
+		return
+	}
+	_, c := r.counters[name]
+	_, g := r.gauges[name]
+	_, h := r.histograms[name]
+	r.register(name, help, c || g || h)
+	r.funcs[name] = f
 }
 
 // Merge folds every metric of o into r, creating missing ones:
@@ -234,8 +264,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		return nil
 	}
 	r.mu.Lock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
+	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.histograms)+len(r.funcs))
 	for n := range r.counters {
+		names = append(names, n)
+	}
+	for n := range r.funcs {
 		names = append(names, n)
 	}
 	for n := range r.gauges {
@@ -256,6 +289,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	histograms := make(map[string]*Histogram, len(r.histograms))
 	for n, h := range r.histograms {
 		histograms[n] = h
+	}
+	funcs := make(map[string]func() uint64, len(r.funcs))
+	for n, f := range r.funcs {
+		funcs[n] = f
 	}
 	help := make(map[string]string, len(r.help))
 	for n, t := range r.help {
@@ -280,6 +317,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			}
 		case histograms[n] != nil:
 			if err := histograms[n].writePrometheus(w, n); err != nil {
+				return err
+			}
+		case funcs[n] != nil:
+			if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", n, n, funcs[n]()); err != nil {
 				return err
 			}
 		}

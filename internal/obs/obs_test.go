@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -209,4 +210,38 @@ func TestWritePrometheusFormat(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
 	}
+}
+
+// TestCounterFunc checks function-backed counters: rendered with their
+// live value, first registration wins, and left out of Merge and
+// Snapshot so a fold never counts process-wide state twice.
+func TestCounterFunc(t *testing.T) {
+	var v atomic.Uint64
+	v.Store(7)
+	r := NewRegistry()
+	r.CounterFunc("memo_hits_total", "memo hits", v.Load)
+	r.CounterFunc("memo_hits_total", "ignored", func() uint64 { return 99 })
+	v.Add(1)
+	out := render(t, r)
+	for _, want := range []string{"# HELP memo_hits_total memo hits", "# TYPE memo_hits_total counter", "memo_hits_total 8"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in:\n%s", want, out)
+		}
+	}
+	dst := NewRegistry()
+	if err := dst.Merge(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.AddSnapshot(r.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if out := render(t, dst); strings.Contains(out, "memo_hits_total ") {
+		t.Errorf("function counter crossed a merge:\n%s", out)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Counter over a function counter's name did not panic")
+		}
+	}()
+	r.Counter("memo_hits_total", "")
 }
