@@ -2,7 +2,8 @@
 # ci.sh — the full local CI pipeline, mirrored by .github/workflows/ci.yml.
 # Every leg must pass before a PR merges:
 #   build, vet, race-enabled tests, a short fuzz pass over the wire
-#   codec and NSEC3 hash, and the project's own static-analysis suite.
+#   codec, NSEC3 hash, distributed frame reader and checkpoint loader,
+#   and the project's own static-analysis suite.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -19,6 +20,11 @@ echo "== fuzz (5s per target) =="
 go test -run='^$' -fuzz=FuzzDecodeMessage -fuzztime=5s ./internal/dnswire/
 go test -run='^$' -fuzz=FuzzDecodeName -fuzztime=5s ./internal/dnswire/
 go test -run='^$' -fuzz=FuzzHash -fuzztime=5s ./internal/nsec3/
+go test -run='^$' -fuzz=FuzzReadFrame -fuzztime=5s ./internal/distsurvey/
+# Each checkpoint-load exec touches the filesystem (~1 ms), so the
+# default 60 s minimization of a new input would eat the whole
+# 5 s budget; 100 minimization runs keep the leg fuzzing.
+go test -run='^$' -fuzz=FuzzCheckpointLoad -fuzztime=5s -fuzzminimizetime=100x ./internal/distsurvey/
 
 echo "== bench smoke (sharded survey, lazy + eager, 1 iteration) =="
 go test -run='^$' -bench=Survey -benchtime=1x .
@@ -167,6 +173,52 @@ grep -q 'Closed, IPv6' "$SMOKE_DIR/fig3.log"
 grep -q 'validators (all quadrants)' "$SMOKE_DIR/fig3.log"
 grep -q 'probe failures (no transcript)         0' "$SMOKE_DIR/fig3.log"
 echo "resolver study smoke OK ($FIG3_URL)"
+
+echo "== distributed resolver study smoke (repro -fig3, coordinator + 2 workers) =="
+# The same study as the leg above, leased to two worker processes: the
+# printed Figure 3 block must match the in-process run byte for byte.
+FIG3_STATE="$SMOKE_DIR/fig3-state"
+"$SMOKE_DIR/repro" -fig3 -serve 127.0.0.1:0 -shards 2 -resolver-scale 2000 \
+  -state-dir "$FIG3_STATE" -metrics 127.0.0.1:0 \
+  >"$SMOKE_DIR/fig3-coord.log" 2>"$SMOKE_DIR/fig3-coord.err" &
+REPRO_PID=$!
+COORD_ADDR=""
+for _ in $(seq 1 100); do
+  COORD_ADDR=$(sed -n 's#^repro: coordinating on \(.*\)$#\1#p' "$SMOKE_DIR/fig3-coord.err")
+  [ -n "$COORD_ADDR" ] && break
+  sleep 0.1
+done
+[ -n "$COORD_ADDR" ] || { echo "fig3 coordinator never bound"; cat "$SMOKE_DIR/fig3-coord.err"; exit 1; }
+FIG3_DIST_URL=$(sed -n 's#^repro: metrics on \(http://[^ ]*\)/metrics$#\1/metrics#p' "$SMOKE_DIR/fig3-coord.err")
+"$SMOKE_DIR/repro" -fig3 -worker "$COORD_ADDR" -shards 2 -resolver-scale 2000 \
+  >"$SMOKE_DIR/fig3-worker1.log" 2>&1 &
+W1_PID=$!
+"$SMOKE_DIR/repro" -fig3 -worker "$COORD_ADDR" -shards 2 -resolver-scale 2000 \
+  >"$SMOKE_DIR/fig3-worker2.log" 2>&1 &
+W2_PID=$!
+F3DSNAP="$SMOKE_DIR/fig3-dist-metrics.snap"
+: > "$F3DSNAP"
+while kill -0 "$REPRO_PID" 2>/dev/null; do
+  curl -fsS "$FIG3_DIST_URL" > "$F3DSNAP.tmp" 2>/dev/null && mv "$F3DSNAP.tmp" "$F3DSNAP"
+  sleep 0.1
+done
+wait "$REPRO_PID" || { echo "fig3 coordinator exited nonzero"; cat "$SMOKE_DIR/fig3-coord.err"; exit 1; }
+REPRO_PID=""
+wait "$W1_PID" || { echo "fig3 worker 1 exited nonzero"; cat "$SMOKE_DIR/fig3-worker1.log"; exit 1; }
+wait "$W2_PID" || { echo "fig3 worker 2 exited nonzero"; cat "$SMOKE_DIR/fig3-worker2.log"; exit 1; }
+grep -q '^distsurvey_workers_connected_total 2$' "$F3DSNAP"
+ls "$FIG3_STATE"/shard-*.json >/dev/null || { echo "no resolver-study checkpoints written"; exit 1; }
+grep -q 'Open, IPv4' "$SMOKE_DIR/fig3-coord.log"
+grep -q 'Open, IPv6' "$SMOKE_DIR/fig3-coord.log"
+grep -q 'Closed, IPv4' "$SMOKE_DIR/fig3-coord.log"
+grep -q 'Closed, IPv6' "$SMOKE_DIR/fig3-coord.log"
+grep -q 'probe failures (no transcript)         0' "$SMOKE_DIR/fig3-coord.log"
+sed -n '/^==== Figure 3/,$p' "$SMOKE_DIR/fig3.log" > "$SMOKE_DIR/fig3-inproc.block"
+sed -n '/^==== Figure 3/,$p' "$SMOKE_DIR/fig3-coord.log" > "$SMOKE_DIR/fig3-dist.block"
+[ -s "$SMOKE_DIR/fig3-dist.block" ] || { echo "coordinator printed no Figure 3 block"; exit 1; }
+diff "$SMOKE_DIR/fig3-inproc.block" "$SMOKE_DIR/fig3-dist.block" \
+  || { echo "distributed Figure 3 differs from the in-process run"; exit 1; }
+echo "distributed resolver study smoke OK (coordinator $COORD_ADDR)"
 
 echo "== statewalk smoke (differential state-machine walk, fixed seed) =="
 # Every (topology × profile) cell through the real resolver, diffed

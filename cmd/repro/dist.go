@@ -12,21 +12,27 @@ import (
 	"repro/internal/obs"
 )
 
-// Distributed survey mode: `repro -serve ADDR` runs the coordinator —
-// it plans the shards, leases them to workers, merges their results,
-// and prints the same §5.1 sections the in-process survey prints.
+// Distributed mode: `repro -serve ADDR` runs the coordinator for one
+// study — the §4.2 resolver study with -fig3, the §4.1 domain survey
+// otherwise. It plans the shards, leases them to workers, merges their
+// results, and prints the same sections the in-process run prints.
 // `repro -worker ADDR` runs a worker that executes leased shards; it
-// must be started with the same survey flags (-domain-scale, -seed,
-// -shards, -signing), which the hello handshake enforces.
+// must be started with the same study flags (-fig3, -domain-scale,
+// -resolver-scale, -seed, -shards, -signing), which the hello
+// handshake enforces.
 
-// distSections selects which survey sections the coordinator prints.
-type distSections struct {
-	fig1, table2, tlds bool
+// distFlags carries the distributed-mode flags and attachments.
+type distFlags struct {
+	stateDir string
+	resume   bool
+	leaseTTL time.Duration
+	reg      *obs.Registry
+	trace    *obs.Tracer
 }
 
-// runDistCoordinator binds addr, serves the survey to workers, and
-// prints the merged report.
-func runDistCoordinator(ctx context.Context, addr string, spec core.SurveySpec, reg *obs.Registry, stateDir string, resume bool, leaseTTL time.Duration, show distSections) error {
+// runDistCoordinator binds addr, serves study to workers, and prints
+// the merged report with show after the banner line.
+func runDistCoordinator[J, O, R any](ctx context.Context, addr string, study core.Study[J, O, R], d distFlags, banner string, show func(R)) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -34,12 +40,12 @@ func runDistCoordinator(ctx context.Context, addr string, spec core.SurveySpec, 
 	// The bound address goes to stderr so scripts (and CI) can discover
 	// a :0 ephemeral port.
 	fmt.Fprintf(os.Stderr, "repro: coordinating on %s\n", ln.Addr())
-	coord, err := distsurvey.NewCoordinator(distsurvey.Config{
-		Spec:     spec,
-		Obs:      reg,
-		StateDir: stateDir,
-		Resume:   resume,
-		LeaseTTL: leaseTTL,
+	coord, err := distsurvey.NewCoordinator(distsurvey.StudyConfig[J, O, R]{
+		Spec:     study,
+		Obs:      d.reg,
+		StateDir: d.stateDir,
+		Resume:   d.resume,
+		LeaseTTL: d.leaseTTL,
 	})
 	if err != nil {
 		// Serve never runs, so the listener must be released here.
@@ -47,79 +53,20 @@ func runDistCoordinator(ctx context.Context, addr string, spec core.SurveySpec, 
 		return err
 	}
 	if n := coord.CheckpointsLoaded(); n > 0 {
-		fmt.Fprintf(os.Stderr, "repro: resumed %d checkpointed shard(s) from %s\n", n, stateDir)
+		fmt.Fprintf(os.Stderr, "repro: resumed %d checkpointed shard(s) from %s\n", n, d.stateDir)
 	}
-	fmt.Printf("== Coordinating the §4.1 domain survey (%d domains, %d shards, seed %d)…\n\n",
-		spec.Registered, spec.Shards, spec.Seed)
+	fmt.Printf("== Coordinating %s…\n\n", banner)
 	report, err := coord.Serve(ctx, ln)
 	if err != nil {
 		return err
 	}
-	if show.fig1 {
-		printFig1(report)
-	}
-	if show.table2 {
-		printTable2(report)
-	}
-	if show.tlds {
-		printTLDs(report)
-	}
+	show(report)
 	return nil
-}
-
-// runDistResolverCoordinator is runDistCoordinator for the §4.2
-// resolver study (`repro -fig3 -serve ADDR`).
-func runDistResolverCoordinator(ctx context.Context, addr string, spec core.ResolverStudySpec, reg *obs.Registry, stateDir string, resume bool, leaseTTL time.Duration) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "repro: coordinating on %s\n", ln.Addr())
-	coord, err := distsurvey.NewResolverCoordinator(distsurvey.ResolverConfig{
-		Spec:     spec,
-		Obs:      reg,
-		StateDir: stateDir,
-		Resume:   resume,
-		LeaseTTL: leaseTTL,
-	})
-	if err != nil {
-		// ServeResolverStudy never runs, so release the listener here.
-		_ = ln.Close()
-		return err
-	}
-	if n := coord.CheckpointsLoaded(); n > 0 {
-		fmt.Fprintf(os.Stderr, "repro: resumed %d checkpointed shard(s) from %s\n", n, stateDir)
-	}
-	fmt.Printf("== Coordinating the §4.2 resolver study (fleet at 1:%d scale, %d shards, seed %d)…\n\n",
-		spec.ScaleDen, spec.Shards, spec.Seed)
-	report, err := coord.ServeResolverStudy(ctx, ln)
-	if err != nil {
-		return err
-	}
-	printFig3(report)
-	return nil
-}
-
-// runDistResolverWorker is runDistWorker for the §4.2 resolver study
-// (`repro -fig3 -worker ADDR`).
-func runDistResolverWorker(ctx context.Context, addr string, spec core.ResolverStudySpec, reg *obs.Registry, tracer *obs.Tracer) error {
-	conn, err := dialRetry(ctx, addr)
-	if err != nil {
-		return err
-	}
-	name, _ := os.Hostname() // best-effort label; empty is fine
-	name = fmt.Sprintf("%s/%d", name, os.Getpid())
-	fmt.Fprintf(os.Stderr, "repro: worker %s serving coordinator %s\n", name, addr)
-	return distsurvey.RunResolverWorker(ctx, conn, spec, distsurvey.WorkerConfig{
-		Name:  name,
-		Obs:   reg,
-		Trace: tracer,
-	})
 }
 
 // runDistWorker dials the coordinator (retrying while it boots) and
-// executes leased shards until the survey is done.
-func runDistWorker(ctx context.Context, addr string, spec core.SurveySpec, reg *obs.Registry, tracer *obs.Tracer) error {
+// executes leased shards of study until it is done.
+func runDistWorker[J, O, R any](ctx context.Context, addr string, study core.Study[J, O, R], d distFlags) error {
 	conn, err := dialRetry(ctx, addr)
 	if err != nil {
 		return err
@@ -127,10 +74,10 @@ func runDistWorker(ctx context.Context, addr string, spec core.SurveySpec, reg *
 	name, _ := os.Hostname() // best-effort label; empty is fine
 	name = fmt.Sprintf("%s/%d", name, os.Getpid())
 	fmt.Fprintf(os.Stderr, "repro: worker %s serving coordinator %s\n", name, addr)
-	return distsurvey.RunWorker(ctx, conn, spec, distsurvey.WorkerConfig{
+	return distsurvey.RunWorker(ctx, conn, study, distsurvey.WorkerConfig{
 		Name:  name,
-		Obs:   reg,
-		Trace: tracer,
+		Obs:   d.reg,
+		Trace: d.trace,
 	})
 }
 

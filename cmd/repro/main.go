@@ -60,19 +60,19 @@ func run() error {
 		statewalkOut    = flag.String("statewalk-out", "statewalk.ndjson", "statewalk: write divergence records to this NDJSON file")
 		statewalkCells  = flag.Bool("statewalk-cells", false, "statewalk: record every cell, not just divergences")
 		statewalkCorpus = flag.String("statewalk-corpus", "", "statewalk: write fuzz-corpus seeds minimized from unexplained divergences under this directory")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
-		shards   = flag.Int("shards", 1, "stream the domain survey in this many bounded shards (same results at any value)")
-		signing  = flag.String("signing", "lazy", "zone signing mode for the survey: lazy (sign on first query) or eager (sign at deploy); same results either way")
-		dScale   = flag.Int("domain-scale", 10000, "divide the 302 M-domain universe by this")
-		rScale   = flag.Int("resolver-scale", 200, "divide the resolver fleet by this")
-		tScale   = flag.Int("tranco-scale", 100, "divide the 1 M Tranco list by this")
-		metrics  = flag.String("metrics", "", "serve /metrics and /healthz on this address while running")
-		traceOut = flag.String("trace", "", "append survey phase spans to this NDJSON file")
+		seed            = flag.Uint64("seed", 1, "simulation seed")
+		shards          = flag.Int("shards", 1, "split each study into this many bounded shards (same results at any value)")
+		signing         = flag.String("signing", "lazy", "zone signing mode for the survey: lazy (sign on first query) or eager (sign at deploy); same results either way")
+		dScale          = flag.Int("domain-scale", 10000, "divide the 302 M-domain universe by this")
+		rScale          = flag.Int("resolver-scale", 200, "divide the resolver fleet by this")
+		tScale          = flag.Int("tranco-scale", 100, "divide the 1 M Tranco list by this")
+		metrics         = flag.String("metrics", "", "serve /metrics and /healthz on this address while running")
+		traceOut        = flag.String("trace", "", "append survey phase spans to this NDJSON file")
 
-		serveAddr  = flag.String("serve", "", "coordinate the domain survey for -worker processes on this TCP address (e.g. 127.0.0.1:0)")
-		workerAddr = flag.String("worker", "", "execute survey shards for the coordinator at this TCP address (start with the same survey flags)")
-		stateDir   = flag.String("state-dir", "", "coordinator: directory for crash-safe shard checkpoints")
-		resume     = flag.Bool("resume", false, "coordinator: resume a survey from -state-dir instead of starting fresh")
+		serveAddr  = flag.String("serve", "", "coordinate the study (the resolver study with -fig3, else the domain survey) for -worker processes on this TCP address (e.g. 127.0.0.1:0)")
+		workerAddr = flag.String("worker", "", "execute study shards for the coordinator at this TCP address (start with the same study flags, -fig3 included)")
+		stateDir   = flag.String("state-dir", "", "coordinator: directory for crash-safe shard checkpoints of the study")
+		resume     = flag.Bool("resume", false, "coordinator: resume the study from -state-dir instead of starting fresh")
 		leaseTTL   = flag.Duration("lease-ttl", 0, "coordinator: re-lease shards from workers silent this long (default 10s)")
 	)
 	flag.Parse()
@@ -121,6 +121,7 @@ func run() error {
 		}
 		// Distributed mode runs exactly one study kind: -fig3 selects the
 		// §4.2 resolver study, anything else the §4.1 domain survey.
+		d := distFlags{stateDir: *stateDir, resume: *resume, leaseTTL: *leaseTTL, reg: reg, trace: tracer}
 		if *fig3 {
 			if *fig1 || *table2 || *tlds || *fig2 || *all {
 				return fmt.Errorf("distributed mode runs one study at a time: pass -fig3 alone or the domain-survey sections alone")
@@ -134,9 +135,10 @@ func run() error {
 				return err
 			}
 			if *workerAddr != "" {
-				return runDistResolverWorker(ctx, *workerAddr, rspec, reg, tracer)
+				return runDistWorker(ctx, *workerAddr, rspec, d)
 			}
-			return runDistResolverCoordinator(ctx, *serveAddr, rspec, reg, *stateDir, *resume, *leaseTTL)
+			return runDistCoordinator(ctx, *serveAddr, rspec, d, fmt.Sprintf("the §4.2 resolver study (fleet at 1:%d scale, %d shards, seed %d)",
+				rspec.ScaleDen, rspec.Shards, rspec.Seed), printFig3)
 		}
 		spec, err := core.SurveyConfig{
 			Registered: population.FullRegistered / *dScale,
@@ -148,12 +150,19 @@ func run() error {
 			return err
 		}
 		if *workerAddr != "" {
-			return runDistWorker(ctx, *workerAddr, spec, reg, tracer)
+			return runDistWorker(ctx, *workerAddr, spec, d)
 		}
-		return runDistCoordinator(ctx, *serveAddr, spec, reg, *stateDir, *resume, *leaseTTL, distSections{
-			fig1:   *all || *fig1,
-			table2: *all || *table2,
-			tlds:   *all || *tlds,
+		return runDistCoordinator(ctx, *serveAddr, spec, d, fmt.Sprintf("the §4.1 domain survey (%d domains, %d shards, seed %d)",
+			spec.Registered, spec.Shards, spec.Seed), func(report *core.SurveyReport) {
+			if *all || *fig1 {
+				printFig1(report)
+			}
+			if *all || *table2 {
+				printTable2(report)
+			}
+			if *all || *tlds {
+				printTLDs(report)
+			}
 		})
 	}
 

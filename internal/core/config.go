@@ -4,8 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-
-	"repro/internal/obs"
 )
 
 // SigningMode selects when a survey shard's zones are signed.
@@ -100,21 +98,6 @@ func (c SurveyConfig) Resolve() (SurveySpec, error) {
 		Shards:     d.Shards,
 		Signing:    d.Signing,
 	}, nil
-}
-
-// Config returns the in-process SurveyConfig equivalent of the spec,
-// with the given process-local attachments.
-func (s SurveySpec) Config(reg *obs.Registry, trace *obs.Tracer) SurveyConfig {
-	return SurveyConfig{
-		Registered: s.Registered,
-		Seed:       s.Seed,
-		Workers:    s.Workers,
-		QPS:        s.QPS,
-		Shards:     s.Shards,
-		Signing:    s.Signing,
-		Obs:        reg,
-		Trace:      trace,
-	}
 }
 
 // specHashVersion versions the hash preimage: bump it whenever the

@@ -19,6 +19,11 @@
 //     on the measured vendor mix, probe every resolver (open ones
 //     directly, closed ones through a simulated RIPE Atlas), classify
 //     Items 6–12 behaviour, and build the Figure 3 series.
+//
+// The survey and the resolver study are both a Study (study.go): a
+// plan of shard jobs, a per-process runner and a report builder. Run
+// drives either in-process; internal/distsurvey drives either across
+// processes.
 package core
 
 import (
@@ -131,31 +136,16 @@ func (s *surveySink) Consume(r scanner.Result) {
 // RunSurvey executes the full domain-side experiment as a sharded
 // stream: plan the shards, execute each one (generate, deploy onto its
 // own simulated network, scan), and merge its outcome into the report
-// before the next shard is touched. It is the thin in-process client
-// of the plan/execute/merge engine in engine.go — the distributed
-// coordinator/worker runner (internal/distsurvey) drives the exact
-// same layers, so both modes produce byte-identical reports.
+// before the next shard is touched. It runs the survey's Study through
+// Run — the distributed coordinator/worker runner (internal/distsurvey)
+// drives the exact same layers, so both modes produce byte-identical
+// reports.
 func RunSurvey(ctx context.Context, cfg SurveyConfig) (*SurveyReport, error) {
 	spec, err := cfg.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	jobs, err := PlanJobs(spec)
-	if err != nil {
-		return nil, err
-	}
-	builder := NewReportBuilder(spec)
-	runner := NewShardRunner(cfg.Obs, cfg.Trace, nil)
-	for _, job := range jobs {
-		out, err := runner.Execute(ctx, job)
-		if err != nil {
-			return nil, err
-		}
-		if err := builder.Add(out); err != nil {
-			return nil, err
-		}
-	}
-	return builder.Finish(), nil
+	return Run(ctx, spec, cfg.Obs, cfg.Trace)
 }
 
 // operatorKeys maps NS host names to operator keys: the registered

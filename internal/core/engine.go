@@ -26,9 +26,8 @@ import (
 //   - Merge: ReportBuilder folds outcomes — in any order, each shard
 //     exactly once — into the final SurveyReport.
 //
-// RunSurvey (core.go) is the thin in-process client: plan, execute
-// each job sequentially, merge. internal/distsurvey is the
-// multi-process client of the same three layers.
+// SurveySpec implements Study over these layers: RunSurvey (core.go)
+// drives it through Run, internal/distsurvey across processes.
 
 // ShardJob is the pure, serializable description of one unit of survey
 // work: which survey (Spec + ConfigHash) and which slice of it (Plan).
@@ -58,6 +57,22 @@ func PlanJobs(spec SurveySpec) ([]ShardJob, error) {
 		jobs[i] = ShardJob{Spec: spec, Plan: pl, ConfigHash: hash}
 	}
 	return jobs, nil
+}
+
+// Plan, NewRunner, NewBuilder and ShardOf make the survey a Study.
+func (s SurveySpec) Plan() ([]ShardJob, error) { return PlanJobs(s) }
+
+func (s SurveySpec) NewRunner(reg *obs.Registry, trace *obs.Tracer, cache *testbed.SignCache) Runner[ShardJob, *ShardOutcome] {
+	return NewShardRunner(reg, trace, cache)
+}
+
+func (s SurveySpec) NewBuilder() Builder[*ShardOutcome, *SurveyReport] { return NewReportBuilder(s) }
+
+func (s SurveySpec) ShardOf(o *ShardOutcome) (int, bool) {
+	if o == nil {
+		return 0, false
+	}
+	return o.Index, true
 }
 
 // ShardOutcome is the serializable result of executing one ShardJob:
@@ -164,7 +179,6 @@ func (run *ShardRunner) Execute(ctx context.Context, job ShardJob) (*ShardOutcom
 	if err != nil {
 		return nil, err
 	}
-	cfg := job.Spec.Config(run.reg, run.trace)
 
 	gen := run.trace.Start("generate", job.Plan.Index)
 	shard, err := planner.GenerateShard(job.Plan)
@@ -182,10 +196,10 @@ func (run *ShardRunner) Execute(ctx context.Context, job ShardJob) (*ShardOutcom
 
 	deploySpan := run.trace.Start("deploy", shard.Index)
 	opts := []population.DeployOption{population.WithSignCache(run.cache)}
-	if cfg.Signing != SigningEager {
+	if job.Spec.Signing != SigningEager {
 		opts = append(opts, population.WithLazySigning())
 	}
-	dep, err := population.Deploy(u, netsim.NewNetwork(cfg.Seed+uint64(shard.Index)), DefaultInception, DefaultExpiration, opts...)
+	dep, err := population.Deploy(u, netsim.NewNetwork(job.Spec.Seed+uint64(shard.Index)), DefaultInception, DefaultExpiration, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -195,9 +209,9 @@ func (run *ShardRunner) Execute(ctx context.Context, job ShardJob) (*ShardOutcom
 	sc := scanner.New(scanner.Config{
 		Exchanger: dep.Hierarchy.Net,
 		Resolver:  resolverAddr,
-		Workers:   cfg.Workers,
-		QPS:       cfg.QPS,
-		Seed:      cfg.Seed + 1 + uint64(shard.Index),
+		Workers:   job.Spec.Workers,
+		QPS:       job.Spec.QPS,
+		Seed:      job.Spec.Seed + 1 + uint64(shard.Index),
 		Obs:       run.reg,
 	})
 	defer sc.Close()
@@ -209,7 +223,7 @@ func (run *ShardRunner) Execute(ctx context.Context, job ShardJob) (*ShardOutcom
 		names[i] = u.Domains[i].Name
 	}
 	scanSpan := run.trace.Start("scan", shard.Index)
-	sinks := make([]*surveySink, 0, cfg.Workers)
+	sinks := make([]*surveySink, 0, job.Spec.Workers)
 	err = sc.ScanAll(ctx, scanner.Names(names), func(int) scanner.Sink {
 		s := &surveySink{
 			agg: compliance.NewAggregate(), ops: analysis.NewOperatorStats(),
@@ -341,39 +355,28 @@ func (run *ShardRunner) scanTLDs(ctx context.Context, sc *scanner.Scanner, tlds 
 	return nil
 }
 
-// DuplicateShardError is the typed rejection ReportBuilder.Add returns
-// when a shard's outcome arrives twice — the enforcement point that a
-// resumed or re-leased survey never double-merges.
-type DuplicateShardError struct {
-	Index int
-}
-
-func (e *DuplicateShardError) Error() string {
-	return fmt.Sprintf("core: shard %d already merged into the report", e.Index)
-}
-
 // ReportBuilder folds ShardOutcomes into the final SurveyReport. Add
 // accepts outcomes in any order but each shard index exactly once;
 // Finish computes the derived figures. The registry-side aggregates
 // (TLDAgg) come from the spec, not the outcomes — they are generated,
 // not scanned.
 type ReportBuilder struct {
+	shardSet
 	report      *SurveyReport
 	transferred map[string]bool
-	merged      map[int]bool
 }
 
 // NewReportBuilder prepares an empty report for the survey described
 // by spec.
 func NewReportBuilder(spec SurveySpec) *ReportBuilder {
 	return &ReportBuilder{
+		shardSet: make(shardSet),
 		report: &SurveyReport{
 			Agg:       compliance.NewAggregate(),
 			Operators: analysis.NewOperatorStats(),
 			TLDAgg:    population.AggregateTLDs(population.GenerateTLDs(spec.Seed)),
 		},
 		transferred: make(map[string]bool),
-		merged:      make(map[int]bool),
 	}
 }
 
@@ -383,10 +386,9 @@ func (b *ReportBuilder) Add(o *ShardOutcome) error {
 	if o == nil {
 		return fmt.Errorf("core: nil shard outcome")
 	}
-	if b.merged[o.Index] {
-		return &DuplicateShardError{Index: o.Index}
+	if err := b.claim(o.Index); err != nil {
+		return err
 	}
-	b.merged[o.Index] = true
 	b.report.Agg.Merge(o.Agg)
 	b.report.Operators.Merge(o.Operators)
 	b.report.ScanErrors += o.ScanErrors
@@ -399,12 +401,6 @@ func (b *ReportBuilder) Add(o *ShardOutcome) error {
 	}
 	return nil
 }
-
-// Merged reports whether the shard's outcome has already been added.
-func (b *ReportBuilder) Merged(index int) bool { return b.merged[index] }
-
-// MergedCount returns how many distinct shards have been added.
-func (b *ReportBuilder) MergedCount() int { return len(b.merged) }
 
 // Finish computes the derived figures and returns the report.
 func (b *ReportBuilder) Finish() *SurveyReport {

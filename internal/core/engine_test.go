@@ -109,8 +109,8 @@ func TestReportBuilderRejectsDuplicate(t *testing.T) {
 	if !errors.As(err, &dup) || dup.Index != 2 {
 		t.Fatalf("second Add returned %v, want *DuplicateShardError{2}", err)
 	}
-	if b.MergedCount() != 1 || !b.Merged(2) || b.Merged(0) {
-		t.Fatalf("merged bookkeeping wrong: count=%d", b.MergedCount())
+	if !b.Merged(2) || b.Merged(0) || b.Merged(1) || b.Merged(3) {
+		t.Fatal("merged bookkeeping wrong: want shard 2, and only shard 2, merged")
 	}
 }
 

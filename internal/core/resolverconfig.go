@@ -93,16 +93,3 @@ func (s ResolverStudySpec) Hash() string {
 		specHashVersion, s.ScaleDen, s.Seed, s.Shards)))
 	return hex.EncodeToString(h[:16])
 }
-
-// Config returns the in-process ResolverStudyConfig equivalent of the
-// spec, with the given process-local attachments.
-func (s ResolverStudySpec) Config(reg *obs.Registry, trace *obs.Tracer) ResolverStudyConfig {
-	return ResolverStudyConfig{
-		ScaleDen: s.ScaleDen,
-		Seed:     s.Seed,
-		Workers:  s.Workers,
-		Shards:   s.Shards,
-		Obs:      reg,
-		Trace:    trace,
-	}
-}

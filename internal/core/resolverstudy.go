@@ -31,11 +31,12 @@ import (
 //   - Merge: ResolverReportBuilder folds outcomes — in any order,
 //     each shard exactly once — into the final ResolverStudyReport.
 //
-// RunResolverStudy is the thin in-process client; internal/distsurvey
-// leases the same jobs to worker processes. Because respop assignments
-// are index-pure, peak memory is O(one shard's resolvers): the paper's
-// full 105.2 K + 6.8 K + 1.2 K + 0.7 K validator fleet (ScaleDen=1)
-// runs in the same footprint as the 1:200 default.
+// ResolverStudySpec implements Study over these layers:
+// RunResolverStudy drives it through Run, internal/distsurvey across
+// processes. Because respop assignments are index-pure, peak memory is
+// O(one shard's resolvers): the paper's full 105.2 K + 6.8 K + 1.2 K +
+// 0.7 K validator fleet (ScaleDen=1) runs in the same footprint as the
+// 1:200 default.
 
 // installScanResolver registers a Cloudflare-like recursive resolver
 // on a hierarchy's network (the measurement resolver of §4.1) and
@@ -91,6 +92,25 @@ func PlanResolverJobs(spec ResolverStudySpec) ([]ResolverShardJob, error) {
 		jobs[i] = ResolverShardJob{Spec: spec, Plan: pl, ConfigHash: hash}
 	}
 	return jobs, nil
+}
+
+// Plan, NewRunner, NewBuilder and ShardOf make the resolver study a
+// Study.
+func (s ResolverStudySpec) Plan() ([]ResolverShardJob, error) { return PlanResolverJobs(s) }
+
+func (s ResolverStudySpec) NewRunner(reg *obs.Registry, trace *obs.Tracer, cache *testbed.SignCache) Runner[ResolverShardJob, *ResolverShardOutcome] {
+	return NewResolverShardRunner(reg, trace, cache)
+}
+
+func (s ResolverStudySpec) NewBuilder() Builder[*ResolverShardOutcome, *ResolverStudyReport] {
+	return NewResolverReportBuilder(s)
+}
+
+func (s ResolverStudySpec) ShardOf(o *ResolverShardOutcome) (int, bool) {
+	if o == nil {
+		return 0, false
+	}
+	return o.Index, true
 }
 
 // ResolverShardOutcome is the serializable result of executing one
@@ -344,14 +364,15 @@ type ResolverStudyReport struct {
 // ResolverStudyReport. Add accepts outcomes in any order but each
 // shard index exactly once.
 type ResolverReportBuilder struct {
+	shardSet
 	report *ResolverStudyReport
-	merged map[int]bool
 }
 
 // NewResolverReportBuilder prepares an empty report for the study
 // described by spec.
 func NewResolverReportBuilder(spec ResolverStudySpec) *ResolverReportBuilder {
 	return &ResolverReportBuilder{
+		shardSet: make(shardSet),
 		report: &ResolverStudyReport{
 			Series:      make(map[respop.Quadrant]*analysis.RCodeSeries),
 			PerQuadrant: make(map[respop.Quadrant]*compliance.ResolverAggregate),
@@ -359,7 +380,6 @@ func NewResolverReportBuilder(spec ResolverStudySpec) *ResolverReportBuilder {
 			Deployed:    make(map[respop.Quadrant]int),
 			Population:  respop.PopulationCounts(spec.ScaleDen),
 		},
-		merged: make(map[int]bool),
 	}
 }
 
@@ -369,10 +389,9 @@ func (b *ResolverReportBuilder) Add(o *ResolverShardOutcome) error {
 	if o == nil {
 		return fmt.Errorf("core: nil resolver shard outcome")
 	}
-	if b.merged[o.Index] {
-		return &DuplicateShardError{Index: o.Index}
+	if err := b.claim(o.Index); err != nil {
+		return err
 	}
-	b.merged[o.Index] = true
 	for q, s := range o.Series {
 		dst := b.report.Series[q]
 		if dst == nil {
@@ -397,39 +416,18 @@ func (b *ResolverReportBuilder) Add(o *ResolverShardOutcome) error {
 	return nil
 }
 
-// Merged reports whether the shard's outcome has already been added.
-func (b *ResolverReportBuilder) Merged(index int) bool { return b.merged[index] }
-
-// MergedCount returns how many distinct shards have been added.
-func (b *ResolverReportBuilder) MergedCount() int { return len(b.merged) }
-
 // Finish returns the report.
 func (b *ResolverReportBuilder) Finish() *ResolverStudyReport { return b.report }
 
-// RunResolverStudy runs the whole study in-process: plan the shard
-// jobs, execute each sequentially (testbed signing shared through one
-// cache), merge. Peak memory is O(one shard's resolvers).
+// RunResolverStudy runs the whole study in-process through Run: plan
+// the shard jobs, execute each sequentially (testbed signing shared
+// through one cache), merge. Peak memory is O(one shard's resolvers).
 func RunResolverStudy(ctx context.Context, cfg ResolverStudyConfig) (*ResolverStudyReport, error) {
 	spec, err := cfg.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	jobs, err := PlanResolverJobs(spec)
-	if err != nil {
-		return nil, err
-	}
-	builder := NewResolverReportBuilder(spec)
-	run := NewResolverShardRunner(cfg.Obs, cfg.Trace, nil)
-	for _, job := range jobs {
-		out, err := run.Execute(ctx, job)
-		if err != nil {
-			return nil, err
-		}
-		if err := builder.Add(out); err != nil {
-			return nil, err
-		}
-	}
-	return builder.Finish(), nil
+	return Run(ctx, spec, cfg.Obs, cfg.Trace)
 }
 
 // BuildTestbedWorld assembles root + com + the rfc9276 testbed on a

@@ -10,108 +10,95 @@ import (
 	"repro/internal/obs"
 )
 
-// Crash-safe survey state: a state directory holds one manifest.json
-// naming the survey (config hash + spec) and one shard-NNNN.json per
-// completed shard. Every file is written atomically — temp file,
-// fsync, rename, directory fsync — so a file either exists complete or
-// not at all; a checkpoint that is nevertheless truncated or corrupt
-// (torn disk, manual edit) is skipped on load and the shard simply
-// re-runs. The ReportBuilder's duplicate rejection guarantees a shard
-// is merged exactly once no matter how a resume interleaves with
-// re-leases.
+// Crash-safe study state: a state directory holds one manifest.json
+// naming the study (protocol version, config hash and spec) and one
+// shard-NNNN.json per completed shard. Every file is written
+// atomically — temp file, fsync, rename, directory fsync — so a file
+// either exists complete or not at all; a checkpoint that is
+// nevertheless truncated or corrupt (torn disk, manual edit) is
+// skipped on load and the shard simply re-runs. The report builder's
+// duplicate rejection guarantees a shard is merged exactly once no
+// matter how a resume interleaves with re-leases.
 
 // manifestName and the shard file pattern are the state directory's
 // entire layout.
 const manifestName = "manifest.json"
 
-// manifest pins which study a state directory belongs to. Spec is set
-// for §4.1 surveys, RSpec for §4.2 resolver studies; the config hash —
-// whose preimages are disjoint between the two kinds — is what every
-// integrity check compares.
+// manifest pins which study a state directory belongs to. The config
+// hash — whose preimages are disjoint between study kinds — and the
+// protocol version are what a resume compares; the spec is for humans.
 type manifest struct {
-	Version    int                     `json:"version"`
-	ConfigHash string                  `json:"config_hash"`
-	Spec       core.SurveySpec         `json:"spec"`
-	Kind       string                  `json:"kind,omitempty"`
-	RSpec      *core.ResolverStudySpec `json:"rspec,omitempty"`
+	Version    int    `json:"version"`
+	ConfigHash string `json:"config_hash"`
+	Spec       any    `json:"spec"`
 }
 
 // Checkpoint is one completed shard's durable record: the outcome the
 // report needs plus the worker's metrics snapshot, hash-stamped so a
-// file from a different study can never be merged. Exactly one of
-// Outcome (survey) and ROutcome (resolver study) is set.
-type Checkpoint struct {
-	ConfigHash string                     `json:"config_hash"`
-	Outcome    *core.ShardOutcome         `json:"outcome,omitempty"`
-	ROutcome   *core.ResolverShardOutcome `json:"routcome,omitempty"`
-	Obs        *obs.Snapshot              `json:"obs,omitempty"`
-}
-
-// shardIndex returns the checkpointed shard's index, refusing records
-// that carry neither or both outcome kinds.
-func (cp *Checkpoint) shardIndex() (int, bool) {
-	switch {
-	case cp.Outcome != nil && cp.ROutcome == nil:
-		return cp.Outcome.Index, true
-	case cp.ROutcome != nil && cp.Outcome == nil:
-		return cp.ROutcome.Index, true
-	}
-	return 0, false
+// file from a different study can never be merged.
+type Checkpoint[O any] struct {
+	ConfigHash string        `json:"config_hash"`
+	Outcome    O             `json:"outcome"`
+	Obs        *obs.Snapshot `json:"obs,omitempty"`
 }
 
 // StateMismatchError is the typed refusal for resuming (or starting
 // over) a state directory recorded under a different config hash.
 type StateMismatchError struct {
 	Dir  string
-	Want string // hash of the survey being run
+	Want string // hash of the study being run
 	Got  string // hash recorded in the directory
 }
 
 func (e *StateMismatchError) Error() string {
-	return fmt.Sprintf("distsurvey: state dir %s belongs to survey %s, not %s — delete it or rerun the original flags with -resume",
+	return fmt.Sprintf("distsurvey: state dir %s belongs to study %s, not %s — delete it or rerun the original flags with -resume",
+		e.Dir, e.Got, e.Want)
+}
+
+// StateVersionError is the typed refusal for resuming a state
+// directory written under another protocol version, whose checkpoints
+// this build cannot read.
+type StateVersionError struct {
+	Dir  string
+	Want int // ProtocolVersion
+	Got  int // version recorded in the directory
+}
+
+func (e *StateVersionError) Error() string {
+	return fmt.Sprintf("distsurvey: state dir %s holds protocol version %d state, this build resumes version %d — delete it and start over",
 		e.Dir, e.Got, e.Want)
 }
 
 // StateExistsError is the typed refusal for starting a fresh run over
-// a state directory that already holds a survey: without -resume that
+// a state directory that already holds a study: without -resume that
 // would silently orphan (or worse, later double-merge) its shards.
 type StateExistsError struct {
 	Dir string
 }
 
 func (e *StateExistsError) Error() string {
-	return fmt.Sprintf("distsurvey: state dir %s already holds survey state — pass -resume to continue it or delete the directory",
+	return fmt.Sprintf("distsurvey: state dir %s already holds study state — pass -resume to continue it or delete the directory",
 		e.Dir)
 }
 
-// Store reads and writes one survey's state directory.
-type Store struct {
-	dir  string
-	hash string
+// Store reads and writes one study's state directory.
+type Store[O any] struct {
+	dir     string
+	hash    string
+	shardOf func(O) (int, bool)
 }
 
-// OpenStore opens (or initializes) the state directory for the survey
-// spec describes. With resume, the directory must already hold a
-// matching manifest and the surviving checkpoints are returned;
-// without it, the directory must not hold survey state yet. The
-// skipped count reports checkpoints dropped as corrupt.
-func OpenStore(dir string, spec core.SurveySpec, resume bool) (store *Store, cps []*Checkpoint, skipped int, err error) {
-	return openStore(dir, spec.Hash(), manifest{Version: ProtocolVersion, ConfigHash: spec.Hash(), Spec: spec}, resume)
-}
-
-// OpenResolverStore is OpenStore for a §4.2 resolver study. The two
-// kinds share the directory layout and crash-safety machinery; the
-// disjoint config-hash preimages keep their state from ever mixing.
-func OpenResolverStore(dir string, spec core.ResolverStudySpec, resume bool) (store *Store, cps []*Checkpoint, skipped int, err error) {
-	m := manifest{Version: ProtocolVersion, ConfigHash: spec.Hash(), Kind: "resolverstudy", RSpec: &spec}
-	return openStore(dir, spec.Hash(), m, resume)
-}
-
-func openStore(dir, hash string, mf manifest, resume bool) (store *Store, cps []*Checkpoint, skipped int, err error) {
+// OpenStore opens (or initializes) the state directory for study s.
+// With resume, the directory must already hold a manifest of the same
+// protocol version and config hash, and the surviving checkpoints are
+// returned; without it, the directory must not hold study state yet.
+// The skipped count reports checkpoints dropped as corrupt.
+func OpenStore[J, O, R any](dir string, s core.Study[J, O, R], resume bool) (store *Store[O], cps []*Checkpoint[O], skipped int, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, 0, err
 	}
-	s := &Store{dir: dir, hash: hash}
+	hash := s.Hash()
+	st := &Store[O]{dir: dir, hash: hash, shardOf: s.ShardOf}
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	switch {
 	case err == nil:
@@ -126,11 +113,14 @@ func openStore(dir, hash string, mf manifest, resume bool) (store *Store, cps []
 			if !resume {
 				return nil, nil, 0, &StateExistsError{Dir: dir}
 			}
+			if m.Version != ProtocolVersion {
+				return nil, nil, 0, &StateVersionError{Dir: dir, Want: ProtocolVersion, Got: m.Version}
+			}
 			if m.ConfigHash != hash {
 				return nil, nil, 0, &StateMismatchError{Dir: dir, Want: hash, Got: m.ConfigHash}
 			}
-			cps, skipped = s.load()
-			return s, cps, skipped, nil
+			cps, skipped = st.load()
+			return st, cps, skipped, nil
 		}
 	case os.IsNotExist(err):
 		if resume {
@@ -139,14 +129,14 @@ func openStore(dir, hash string, mf manifest, resume bool) (store *Store, cps []
 	default:
 		return nil, nil, 0, err
 	}
-	m, err := json.Marshal(mf)
+	m, err := json.Marshal(manifest{Version: ProtocolVersion, ConfigHash: hash, Spec: s})
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	if err := writeFileAtomic(dir, manifestName, m); err != nil {
 		return nil, nil, 0, err
 	}
-	return s, nil, 0, nil
+	return st, nil, 0, nil
 }
 
 // shardFile names shard index's checkpoint.
@@ -157,11 +147,11 @@ func shardFile(index int) string {
 // Write durably records one completed shard. The write is atomic: a
 // crash at any point leaves either the previous state or the complete
 // new file, never a torn one.
-func (s *Store) Write(cp *Checkpoint) error {
+func (s *Store[O]) Write(cp *Checkpoint[O]) error {
 	if cp == nil {
 		return fmt.Errorf("distsurvey: refusing to checkpoint an empty outcome")
 	}
-	index, ok := cp.shardIndex()
+	index, ok := s.shardOf(cp.Outcome)
 	if !ok {
 		return fmt.Errorf("distsurvey: refusing to checkpoint an empty outcome")
 	}
@@ -176,7 +166,7 @@ func (s *Store) Write(cp *Checkpoint) error {
 // load scans the directory for shard checkpoints, skipping (and
 // counting) any that are corrupt, truncated, hash-mismatched, or
 // misfiled — those shards just re-run.
-func (s *Store) load() (cps []*Checkpoint, skipped int) {
+func (s *Store[O]) load() (cps []*Checkpoint[O], skipped int) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, 0
@@ -191,12 +181,12 @@ func (s *Store) load() (cps []*Checkpoint, skipped int) {
 			skipped++
 			continue
 		}
-		cp := &Checkpoint{}
+		cp := &Checkpoint[O]{}
 		if err := json.Unmarshal(data, cp); err != nil || cp.ConfigHash != s.hash {
 			skipped++
 			continue
 		}
-		if got, ok := cp.shardIndex(); !ok || got != index {
+		if got, ok := s.shardOf(cp.Outcome); !ok || got != index {
 			skipped++
 			continue
 		}

@@ -102,7 +102,10 @@ type serveResult struct {
 	err    error
 }
 
-func serveAsync(ctx context.Context, c *Coordinator, ln *netsim.StreamListener) chan serveResult {
+// surveyCoordinator is the coordinator NewCoordinator(Config{…}) builds.
+type surveyCoordinator = Coordinator[core.ShardJob, *core.ShardOutcome, *core.SurveyReport]
+
+func serveAsync(ctx context.Context, c *surveyCoordinator, ln *netsim.StreamListener) chan serveResult {
 	ch := make(chan serveResult, 1)
 	go func() {
 		report, err := c.Serve(ctx, ln)
@@ -158,10 +161,30 @@ func leaseJob(ctx context.Context, t *testing.T, w *wireConn) *Frame {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Type != TypeJob || f.Job == nil {
+	if f.Type != TypeJob || len(f.Job) == 0 {
 		t.Fatalf("lease answered %+v", f)
 	}
 	return f
+}
+
+// surveyJob decodes a job frame's survey shard job.
+func surveyJob(t *testing.T, f *Frame) core.ShardJob {
+	t.Helper()
+	var job core.ShardJob
+	if err := json.Unmarshal(f.Job, &job); err != nil {
+		t.Fatal(err)
+	}
+	return job
+}
+
+// mustJSON encodes v for a hand-built frame.
+func mustJSON(t testing.TB, v any) json.RawMessage {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // executeShardAsWorker runs one leased shard exactly the way RunWorker
@@ -169,12 +192,12 @@ func leaseJob(ctx context.Context, t *testing.T, w *wireConn) *Frame {
 func executeShardAsWorker(ctx context.Context, t *testing.T, w *wireConn, f *Frame, cache *testbed.SignCache) int {
 	t.Helper()
 	reg := obs.NewRegistry()
-	out, err := core.NewShardRunner(reg, nil, cache).Execute(ctx, *f.Job)
+	out, err := core.NewShardRunner(reg, nil, cache).Execute(ctx, surveyJob(t, f))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.write(ctx, &Frame{
-		Type: TypeResult, Shard: out.Index, Lease: f.Lease, Outcome: out, Obs: reg.Snapshot(),
+		Type: TypeResult, Shard: out.Index, Lease: f.Lease, Outcome: mustJSON(t, out), Obs: reg.Snapshot(),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -287,8 +310,8 @@ func TestWorkerDeathReLease(t *testing.T) {
 	// The doomed worker leases shard 0, then dies without a word.
 	doomed := dialHello(ctx, t, sn, spec)
 	f := leaseJob(ctx, t, doomed)
-	if f.Job.Plan.Index != 0 {
-		t.Fatalf("first lease granted shard %d, want 0", f.Job.Plan.Index)
+	if job := surveyJob(t, f); job.Plan.Index != 0 {
+		t.Fatalf("first lease granted shard %d, want 0", job.Plan.Index)
 	}
 	if err := doomed.conn.Close(); err != nil {
 		t.Fatal(err)
@@ -353,12 +376,12 @@ func TestPartialResultFrameReLease(t *testing.T) {
 	cut := dialHello(ctx, t, sn, spec, netsim.WithWriteLimit(budget))
 	f := leaseJob(ctx, t, cut)
 	regCut := obs.NewRegistry()
-	out, err := core.NewShardRunner(regCut, nil, nil).Execute(ctx, *f.Job)
+	out, err := core.NewShardRunner(regCut, nil, nil).Execute(ctx, surveyJob(t, f))
 	if err != nil {
 		t.Fatal(err)
 	}
 	werr := cut.write(ctx, &Frame{
-		Type: TypeResult, Shard: out.Index, Lease: f.Lease, Outcome: out, Obs: regCut.Snapshot(),
+		Type: TypeResult, Shard: out.Index, Lease: f.Lease, Outcome: mustJSON(t, out), Obs: regCut.Snapshot(),
 	})
 	if werr == nil {
 		t.Fatal("result write survived a 10-byte budget; the fault injection did not fire")

@@ -69,7 +69,9 @@ func TestDistributedResolverStudyEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	coord, err := NewResolverCoordinator(ResolverConfig{Spec: spec, Obs: reg, LeaseTTL: 30 * time.Second})
+	coord, err := NewCoordinator(StudyConfig[core.ResolverShardJob, *core.ResolverShardOutcome, *core.ResolverStudyReport]{
+		Spec: spec, Obs: reg, LeaseTTL: 30 * time.Second,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +81,7 @@ func TestDistributedResolverStudyEquivalence(t *testing.T) {
 	}
 	serveCh := make(chan serveRes, 1)
 	go func() {
-		report, err := coord.ServeResolverStudy(ctx, ln)
+		report, err := coord.Serve(ctx, ln)
 		serveCh <- serveRes{report, err}
 	}()
 
@@ -108,7 +110,7 @@ func TestDistributedResolverStudyEquivalence(t *testing.T) {
 				ch <- err
 				return
 			}
-			ch <- RunResolverWorker(ctx, conn, spec, WorkerConfig{})
+			ch <- RunWorker(ctx, conn, spec, WorkerConfig{})
 		}()
 	}
 	res := <-serveCh
@@ -152,7 +154,7 @@ func TestDistributedResolverStudyEquivalence(t *testing.T) {
 func TestResolverStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	spec := resolverSpec(t)
-	store, cps, _, err := OpenResolverStore(dir, spec, false)
+	store, cps, _, err := OpenStore(dir, spec, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,22 +162,22 @@ func TestResolverStoreRoundTrip(t *testing.T) {
 		t.Fatalf("fresh store returned %d checkpoints", len(cps))
 	}
 	out := &core.ResolverShardOutcome{Index: 1, ProbeFailures: 3}
-	if err := store.Write(&Checkpoint{ROutcome: out}); err != nil {
+	if err := store.Write(&Checkpoint[*core.ResolverShardOutcome]{Outcome: out}); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Write(&Checkpoint{}); err == nil {
+	if err := store.Write(&Checkpoint[*core.ResolverShardOutcome]{}); err == nil {
 		t.Fatal("empty checkpoint accepted")
 	}
 
-	_, cps, skipped, err := OpenResolverStore(dir, spec, true)
+	_, cps, skipped, err := OpenStore(dir, spec, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if skipped != 0 || len(cps) != 1 {
 		t.Fatalf("resume returned %d checkpoints (%d skipped), want 1 (0)", len(cps), skipped)
 	}
-	if cps[0].ROutcome == nil || cps[0].ROutcome.Index != 1 || cps[0].ROutcome.ProbeFailures != 3 {
-		t.Fatalf("resumed checkpoint = %+v", cps[0].ROutcome)
+	if cps[0].Outcome == nil || cps[0].Outcome.Index != 1 || cps[0].Outcome.ProbeFailures != 3 {
+		t.Fatalf("resumed checkpoint = %+v", cps[0].Outcome)
 	}
 
 	surveySpec, err := core.SurveyConfig{Registered: 240, Seed: rsSeed}.Resolve()

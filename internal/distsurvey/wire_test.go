@@ -3,12 +3,11 @@ package distsurvey
 import (
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"net"
 	"reflect"
 	"testing"
 	"time"
-
-	"repro/internal/core"
 )
 
 // TestFrameRoundTrip: a frame crosses a real conn intact.
@@ -22,7 +21,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		Type:       TypeJob,
 		Lease:      42,
 		ConfigHash: "abc",
-		Job:        &core.ShardJob{ConfigHash: "abc"},
+		Job:        json.RawMessage(`{"config_hash":"abc"}`),
 	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- writeFrame(ctx, cli, want) }()

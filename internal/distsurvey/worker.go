@@ -2,6 +2,7 @@ package distsurvey
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -23,80 +24,14 @@ type WorkerConfig struct {
 	Trace *obs.Tracer
 }
 
-// jobRunner erases the study kind from the worker loop. index rejects
-// job frames of the wrong kind; run executes one leased job into reg
-// and returns the result frame with Type, Shard, and the outcome set —
-// the loop stamps the lease epoch and sends it.
-type jobRunner interface {
-	index(f *Frame) (int, error)
-	run(ctx context.Context, f *Frame, reg *obs.Registry) (*Frame, error)
-}
-
-// surveyRunner executes §4.1 survey shards via core.ShardRunner.
-type surveyRunner struct {
-	trace *obs.Tracer
-	cache *testbed.SignCache
-}
-
-func (r *surveyRunner) index(f *Frame) (int, error) {
-	if f.Job == nil {
-		return 0, fmt.Errorf("distsurvey: job frame without a survey job")
-	}
-	return f.Job.Plan.Index, nil
-}
-
-func (r *surveyRunner) run(ctx context.Context, f *Frame, reg *obs.Registry) (*Frame, error) {
-	out, err := core.NewShardRunner(reg, r.trace, r.cache).Execute(ctx, *f.Job)
-	if err != nil {
-		return nil, err
-	}
-	return &Frame{Type: TypeResult, Shard: out.Index, Outcome: out}, nil
-}
-
-// resolverRunner executes §4.2 resolver-study shards via
-// core.ResolverShardRunner.
-type resolverRunner struct {
-	trace *obs.Tracer
-	cache *testbed.SignCache
-}
-
-func (r *resolverRunner) index(f *Frame) (int, error) {
-	if f.RJob == nil {
-		return 0, fmt.Errorf("distsurvey: job frame without a resolver-study job")
-	}
-	return f.RJob.Plan.Index, nil
-}
-
-func (r *resolverRunner) run(ctx context.Context, f *Frame, reg *obs.Registry) (*Frame, error) {
-	out, err := core.NewResolverShardRunner(reg, r.trace, r.cache).Execute(ctx, *f.RJob)
-	if err != nil {
-		return nil, err
-	}
-	return &Frame{Type: TypeResult, Shard: out.Index, ROutcome: out}, nil
-}
-
-// RunWorker speaks the worker side of the protocol on conn: hello,
-// then lease→execute→result until the coordinator says done. Each
-// shard executes through the exact same core.ShardRunner path
-// RunSurvey uses; a fresh per-job registry makes each result's obs
-// snapshot the shard's own delta, while the sign cache is shared
-// across jobs so repeated infrastructure zones sign once per process.
-// RunWorker owns conn and closes it on the way out.
-func RunWorker(ctx context.Context, conn net.Conn, spec core.SurveySpec, cfg WorkerConfig) error {
-	return runWorkerLoop(ctx, conn, spec.Hash(), cfg,
-		&surveyRunner{trace: cfg.Trace, cache: testbed.NewSignCache()})
-}
-
-// RunResolverWorker is RunWorker for a §4.2 resolver study: shards
-// execute through the exact same core.ResolverShardRunner path
-// RunResolverStudy uses, with the sign cache shared across jobs so the
-// testbed's 52 zones sign once per worker process.
-func RunResolverWorker(ctx context.Context, conn net.Conn, spec core.ResolverStudySpec, cfg WorkerConfig) error {
-	return runWorkerLoop(ctx, conn, spec.Hash(), cfg,
-		&resolverRunner{trace: cfg.Trace, cache: testbed.NewSignCache()})
-}
-
-func runWorkerLoop(ctx context.Context, conn net.Conn, hash string, cfg WorkerConfig, runner jobRunner) error {
+// RunWorker speaks the worker side of the protocol on conn for study
+// s: hello, then lease→execute→result until the coordinator says done.
+// Each shard executes through the exact runner core.Run uses; a fresh
+// per-job registry makes each result's obs snapshot the shard's own
+// delta, while the sign cache is shared across jobs so repeated
+// infrastructure zones sign once per process. RunWorker owns conn and
+// closes it on the way out.
+func RunWorker[J, O, R any](ctx context.Context, conn net.Conn, s core.Study[J, O, R], cfg WorkerConfig) error {
 	defer func() {
 		// The coordinator treats conn death as lease release; closing is
 		// the worker's own cleanup either way.
@@ -106,7 +41,7 @@ func runWorkerLoop(ctx context.Context, conn net.Conn, hash string, cfg WorkerCo
 	if err := w.write(ctx, &Frame{
 		Type:       TypeHello,
 		Version:    ProtocolVersion,
-		ConfigHash: hash,
+		ConfigHash: s.Hash(),
 		Worker:     cfg.Name,
 	}); err != nil {
 		return err
@@ -126,6 +61,7 @@ func runWorkerLoop(ctx context.Context, conn net.Conn, hash string, cfg WorkerCo
 	if heartbeat <= 0 {
 		heartbeat = DefaultLeaseTTL / 3
 	}
+	cache := testbed.NewSignCache()
 
 	for {
 		if err := w.write(ctx, &Frame{Type: TypeLease}); err != nil {
@@ -139,7 +75,7 @@ func runWorkerLoop(ctx context.Context, conn net.Conn, hash string, cfg WorkerCo
 		case TypeDone:
 			return nil
 		case TypeJob:
-			if err := executeLease(ctx, w, f, heartbeat, cfg, runner); err != nil {
+			if err := executeLease(ctx, w, f, heartbeat, cfg, s, cache); err != nil {
 				return err
 			}
 		case TypeError:
@@ -152,10 +88,11 @@ func runWorkerLoop(ctx context.Context, conn net.Conn, hash string, cfg WorkerCo
 
 // executeLease runs one leased shard, heartbeating while it executes,
 // and streams the outcome plus the shard's metrics snapshot back.
-func executeLease(ctx context.Context, w *wireConn, f *Frame, heartbeat time.Duration, cfg WorkerConfig, runner jobRunner) error {
-	shard, err := runner.index(f)
-	if err != nil {
-		return err
+func executeLease[J, O, R any](ctx context.Context, w *wireConn, f *Frame, heartbeat time.Duration, cfg WorkerConfig,
+	s core.Study[J, O, R], cache *testbed.SignCache) error {
+	var job J
+	if err := json.Unmarshal(f.Job, &job); err != nil {
+		return fmt.Errorf("distsurvey: undecodable job for shard %d: %w", f.Shard, err)
 	}
 	// A fresh registry per job: its snapshot is exactly this shard's
 	// metrics delta, so the coordinator's merge is order-independent.
@@ -173,7 +110,7 @@ func executeLease(ctx context.Context, w *wireConn, f *Frame, heartbeat time.Dur
 			case <-t.C:
 				// A failed heartbeat is not fatal here: the result write
 				// will surface the dead conn to the main loop.
-				_ = w.write(ctx, &Frame{Type: TypeHeartbeat, Shard: shard, Lease: f.Lease})
+				_ = w.write(ctx, &Frame{Type: TypeHeartbeat, Shard: f.Shard, Lease: f.Lease})
 			case <-hbDone:
 				return
 			case <-ctx.Done():
@@ -181,16 +118,17 @@ func executeLease(ctx context.Context, w *wireConn, f *Frame, heartbeat time.Dur
 			}
 		}
 	}()
-	result, err := runner.run(ctx, f, reg)
+	out, err := s.NewRunner(reg, cfg.Trace, cache).Execute(ctx, job)
 	close(hbDone)
 	hbWG.Wait()
 	if err != nil {
 		return err
 	}
-
-	result.Lease = f.Lease
-	result.Obs = reg.Snapshot()
-	if err := w.write(ctx, result); err != nil {
+	raw, err := json.Marshal(out)
+	if err != nil {
+		return err
+	}
+	if err := w.write(ctx, &Frame{Type: TypeResult, Shard: f.Shard, Lease: f.Lease, Outcome: raw, Obs: reg.Snapshot()}); err != nil {
 		return err
 	}
 	ack, err := w.read(ctx)

@@ -27,7 +27,8 @@ import (
 //     far as a static analysis can tell, may run it);
 //   - a call through an interface fans out to the matching method of
 //     every named type in the loaded packages whose method set
-//     satisfies the interface (dynamic edges);
+//     satisfies the interface — for an interface whose methods mention
+//     type parameters, some instantiation of it (dynamic edges);
 //   - a function merely referenced as a value (passed as a callback,
 //     stored in a field) gets a ref edge from the referencing
 //     function, because the reference may be called anywhere.
@@ -218,12 +219,6 @@ func (g *CallGraph) FuncNode(fn *types.Func) *CallNode {
 	return g.funcs[funcKey(fn)]
 }
 
-// LitNode returns the node for a function literal in the loaded
-// packages, or nil.
-func (g *CallGraph) LitNode(lit *ast.FuncLit) *CallNode {
-	return g.lits[lit]
-}
-
 // NondetDirective is the comment directive that marks a function as a
 // sanctioned nondeterminism root, e.g.
 //
@@ -333,11 +328,8 @@ func (b *graphBuilder) walkBody(node *CallNode, body *ast.BlockStmt) {
 		case *ast.DeferStmt:
 			kinds[n.Call] = EdgeDefer
 		case *ast.CallExpr:
-			switch fun := ast.Unparen(n.Fun).(type) {
-			case *ast.Ident:
-				calleeIdents[fun] = true
-			case *ast.SelectorExpr:
-				calleeIdents[fun.Sel] = true
+			if id := calleeIdent(n.Fun); id != nil {
+				calleeIdents[id] = true
 			}
 		}
 		return true
@@ -423,9 +415,10 @@ func (b *graphBuilder) resolveDynamic(caller *CallNode, call *ast.CallExpr, ifac
 	if dynKind == EdgeCall {
 		dynKind = EdgeDynamic
 	}
+	ifc := recv.Underlying().(*types.Interface)
 	seen := map[*CallNode]bool{}
 	for _, t := range b.concrete {
-		if !types.Implements(t, recv.Underlying().(*types.Interface)) {
+		if !types.Implements(t, ifc) && !implementsInstance(t, ifc) {
 			continue
 		}
 		obj, _, _ := types.LookupFieldOrMethod(t, true, iface.Pkg(), iface.Name())
@@ -438,4 +431,84 @@ func (b *graphBuilder) resolveDynamic(caller *CallNode, call *ast.CallExpr, ifac
 			addEdge(caller, callee, dynKind, call.Pos())
 		}
 	}
+}
+
+// implementsInstance reports whether t's method set satisfies ifc for
+// some binding of the type parameters ifc's methods mention, e.g.
+// genSpec's Exec(int) string for genStudy[J, O]'s Exec(J) O: each
+// method signature is matched structurally, binding a type parameter
+// on first sight and requiring the same type everywhere after.
+func implementsInstance(t types.Type, ifc *types.Interface) bool {
+	bound := map[*types.TypeParam]types.Type{}
+	for i := 0; i < ifc.NumMethods(); i++ {
+		m := ifc.Method(i)
+		obj, _, _ := types.LookupFieldOrMethod(t, false, m.Pkg(), m.Name())
+		fn, ok := obj.(*types.Func)
+		if !ok || !bindType(m.Type(), fn.Type(), bound) {
+			return false
+		}
+	}
+	return true
+}
+
+// bindType matches pattern against concrete, binding pattern's type
+// parameters in bound.
+func bindType(pattern, concrete types.Type, bound map[*types.TypeParam]types.Type) bool {
+	switch p := pattern.(type) {
+	case *types.TypeParam:
+		if b, ok := bound[p]; ok {
+			return types.Identical(b, concrete)
+		}
+		bound[p] = concrete
+		return true
+	case *types.Pointer:
+		c, ok := concrete.(*types.Pointer)
+		return ok && bindType(p.Elem(), c.Elem(), bound)
+	case *types.Slice:
+		c, ok := concrete.(*types.Slice)
+		return ok && bindType(p.Elem(), c.Elem(), bound)
+	case *types.Map:
+		c, ok := concrete.(*types.Map)
+		return ok && bindType(p.Key(), c.Key(), bound) && bindType(p.Elem(), c.Elem(), bound)
+	case *types.Signature:
+		c, ok := concrete.(*types.Signature)
+		return ok && p.Variadic() == c.Variadic() &&
+			bindTuple(p.Params(), c.Params(), bound) && bindTuple(p.Results(), c.Results(), bound)
+	case *types.Named:
+		// Named types match by package path and name, not object: a
+		// package type-checked from source and its export-data view in
+		// an importer hold distinct objects for the same type.
+		c, ok := concrete.(*types.Named)
+		if !ok || typeKey(p.Obj()) != typeKey(c.Obj()) || p.TypeArgs().Len() != c.TypeArgs().Len() {
+			return false
+		}
+		for i := 0; i < p.TypeArgs().Len(); i++ {
+			if !bindType(p.TypeArgs().At(i), c.TypeArgs().At(i), bound) {
+				return false
+			}
+		}
+		return true
+	}
+	return types.Identical(pattern, concrete)
+}
+
+// typeKey is the cross-package identity of a type name.
+func typeKey(tn *types.TypeName) string {
+	if tn.Pkg() == nil {
+		return tn.Name()
+	}
+	return tn.Pkg().Path() + "." + tn.Name()
+}
+
+// bindTuple matches two parameter or result lists element-wise.
+func bindTuple(p, c *types.Tuple, bound map[*types.TypeParam]types.Type) bool {
+	if p.Len() != c.Len() {
+		return false
+	}
+	for i := 0; i < p.Len(); i++ {
+		if !bindType(p.At(i).Type(), c.At(i).Type(), bound) {
+			return false
+		}
+	}
+	return true
 }

@@ -84,7 +84,9 @@ func hasEdge(n *lint.CallNode, want string) bool {
 }
 
 // TestCallGraphEdgeKinds pins one edge of every kind the builder
-// resolves: call, go, defer, closure, ref, and interface dispatch.
+// resolves: call, go, defer, closure, ref, and interface dispatch —
+// including dispatch through a type-parameterised interface and calls
+// through an explicit instantiation.
 func TestCallGraphEdgeKinds(t *testing.T) {
 	g := buildFixtureGraph(t)
 	cases := []struct {
@@ -99,6 +101,9 @@ func TestCallGraphEdgeKinds(t *testing.T) {
 		{"cgfix.immediate", "literal/call"},
 		{"cgfix.reference", "cgfix.callee/ref"},
 		{"cgfix.dispatch", "RealDoer.Do/dynamic"},
+		{"cgfix.genRun", "genSpec.Exec/dynamic"},
+		{"cgfix.instantiated", "cgfix.genRun/call"},
+		{"cgfix.instantiated", "cgfix.genID/call"},
 	}
 	for _, tc := range cases {
 		n := findNode(t, g, tc.node)

@@ -260,17 +260,24 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 // calleeFunc resolves the *types.Func a call expression invokes, or nil
 // for builtins, function-typed variables, and type conversions.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := info.Uses[id].(*types.Func)
+	fn, _ := info.Uses[calleeIdent(call.Fun)].(*types.Func)
 	return fn
+}
+
+// calleeIdent returns the identifier naming a call's function — f,
+// x.f, or an explicit instantiation f[T] / x.f[T, U] — or nil.
+func calleeIdent(fun ast.Expr) *ast.Ident {
+	switch fun := ast.Unparen(fun).(type) {
+	case *ast.Ident:
+		return fun
+	case *ast.SelectorExpr:
+		return fun.Sel
+	case *ast.IndexExpr:
+		return calleeIdent(fun.X)
+	case *ast.IndexListExpr:
+		return calleeIdent(fun.X)
+	}
+	return nil
 }
 
 // exprString renders an expression in canonical source form, used as a

@@ -31,3 +31,19 @@ type RealDoer struct{}
 func (RealDoer) Do() {}
 
 func dispatch(d Doer) { d.Do() }
+
+// genStudy is a type-parameterised interface: its method mentions the
+// type parameters, so no concrete type implements it until instantiated.
+type genStudy[J, O any] interface{ Exec(j J) O }
+
+// genSpec implements genStudy[int, string].
+type genSpec struct{}
+
+// Exec implements genStudy.
+func (genSpec) Exec(j int) string { return "" }
+
+func genRun[J, O any](s genStudy[J, O], j J) O { return s.Exec(j) }
+
+func genID[T any](t T) T { return t }
+
+func instantiated() string { return genRun[int, string](genSpec{}, genID[int](1)) }

@@ -56,26 +56,9 @@ func (z *Zone) MustAdd(rr dnswire.RR) {
 	}
 }
 
-// AddData is a convenience wrapper building the RR from parts with the
-// zone default TTL.
-func (z *Zone) AddData(owner dnswire.Name, data dnswire.RData) error {
-	return z.Add(dnswire.RR{Name: owner, Class: dnswire.ClassIN, TTL: z.TTL, Data: data})
-}
-
 // Lookup returns the records of the given type at owner.
 func (z *Zone) Lookup(owner dnswire.Name, t dnswire.Type) []dnswire.RR {
 	return z.records[owner][t]
-}
-
-// TypesAt returns the set of types present at owner.
-func (z *Zone) TypesAt(owner dnswire.Name) []dnswire.Type {
-	byType := z.records[owner]
-	out := make([]dnswire.Type, 0, len(byType))
-	for t := range byType {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // HasName reports whether any record exists exactly at owner.
